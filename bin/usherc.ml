@@ -132,31 +132,6 @@ let quarantine_arg =
                  (quarantine.list, as written by usherc audit); every \
                  listed function is forced onto full instrumentation.")
 
-let summaries_arg =
-  Arg.(value & flag
-       & info [ "summaries" ]
-           ~doc:"Resolve Γ compositionally from per-function value-flow \
-                 summaries solved bottom-up over the call graph \
-                 (lib/summary) instead of the monolithic whole-program \
-                 search. Γ, instrumentation plans and certificates are \
-                 byte-identical by contract. Implied by $(b,--cache).")
-
-let no_summaries_arg =
-  Arg.(value & flag
-       & info [ "no-summaries" ]
-           ~doc:"Force the monolithic resolution path even when \
-                 $(b,--summaries) or $(b,--cache) is given.")
-
-let cache_arg =
-  Arg.(value & opt (some string) None
-       & info [ "cache" ] ~docv:"DIR"
-           ~doc:"Persist per-SCC value-flow summaries under $(docv), keyed \
-                 by a content hash of each SCC's IR, its value-flow \
-                 fragment and its callees' keys: editing one function \
-                 re-analyzes only it and its transitive callers. Entries \
-                 are checksummed; a corrupt entry is removed and \
-                 recomputed, never trusted. Implies $(b,--summaries).")
-
 let verify_arg =
   Arg.(value & flag
        & info [ "verify" ]
@@ -167,8 +142,8 @@ let verify_arg =
                  (function distrust or full instrumentation) instead of \
                  trusting the result.")
 
-let knobs_of budget_ms solver_fuel vfg_cap resolve_fuel summaries no_summaries
-    cache verify inject quarantine =
+let knobs_of budget_ms solver_fuel vfg_cap resolve_fuel verify inject
+    quarantine =
   let knobs =
     {
       Usher.Config.default_knobs with
@@ -176,8 +151,6 @@ let knobs_of budget_ms solver_fuel vfg_cap resolve_fuel summaries no_summaries
       solver_fuel;
       vfg_node_cap = vfg_cap;
       resolve_fuel;
-      summaries = (summaries || cache <> None) && not no_summaries;
-      summary_cache = (if no_summaries then None else cache);
       verify;
       inject;
     }
@@ -188,8 +161,7 @@ let knobs_of budget_ms solver_fuel vfg_cap resolve_fuel summaries no_summaries
 
 let knobs_term =
   Term.(const knobs_of $ budget_ms_arg $ solver_fuel_arg $ vfg_cap_arg
-        $ resolve_fuel_arg $ summaries_arg $ no_summaries_arg $ cache_arg
-        $ verify_arg $ inject_arg $ quarantine_arg)
+        $ resolve_fuel_arg $ verify_arg $ inject_arg $ quarantine_arg)
 
 (* ---- observability (lib/obs) ---- *)
 

@@ -68,7 +68,7 @@ let run_func (p : P.t) (f : func) : func * stats =
        hash order makes this function's phi placement depend on how many
        variables *earlier* functions happened to allocate. IR order is
        content-determined, keeping every downstream artifact — SSA names,
-       VFG shape, summary content keys — stable under edits elsewhere. *)
+       VFG shape — stable under edits elsewhere. *)
     let alloc_ids =
       let acc = ref [] in
       Ir.Func.iter_instrs

@@ -3,7 +3,9 @@
    One request object per line in; one reply object per line out, matched
    by "id". Requests never span lines (string newlines are escaped), so a
    torn connection loses at most the line being written — there is no
-   framing state to corrupt.
+   framing state to corrupt. Unknown request fields are ignored, so a
+   client written against an older or newer protocol still gets the
+   reply its known fields ask for.
 
    Request:
      { "id": "r1", "cmd": "analyze" | "run" | "check" | "bench"
@@ -15,8 +17,6 @@
        "engine": "interp" | "vm",           -- run/bench execution engine
        "budget_ms": 1000, "solver_fuel": N, "vfg_cap": N,
        "resolve_fuel": N, "verify": true,
-       "summaries": true,      -- compositional Γ resolution
-       "cache": "DIR",         -- summary cache dir (implies summaries)
        "inject": ["andersen=crash", ...],
        -- test/load hooks:
        "sleep_ms": 100,        -- hold the worker before running
@@ -56,10 +56,6 @@ type request = {
   solver_fuel : int option;
   vfg_cap : int option;
   resolve_fuel : int option;
-  summaries : bool;        (* compositional Γ resolution (lib/summary) *)
-  cache : string option;   (* summary artifact directory, shared by all
-                              workers via first-writer-wins installs;
-                              implies summaries *)
   verify : bool;
   inject : Usher.Config.fault list;
   sleep_ms : int;      (* test/load hook: hold the worker this long *)
@@ -225,9 +221,6 @@ let request_of_json (j : Json.t) : (request, string) result =
       solver_fuel = int_field "solver_fuel";
       vfg_cap = int_field "vfg_cap";
       resolve_fuel = int_field "resolve_fuel";
-      summaries =
-        bool_field "summaries" false || str_field "cache" <> None;
-      cache = str_field "cache";
       verify = bool_field "verify" false;
       inject;
       sleep_ms = Option.value ~default:0 (int_field "sleep_ms");

@@ -1,16 +1,5 @@
 (* The per-benchmark statistics of Table 1. *)
 
-(* Compositional-resolution counters (present iff the analysis ran with
-   [knobs.summaries]); a frozen copy of Summary.Engine.stats. *)
-type summary_counters = {
-  s_computed : int;
-  s_reused : int;
-  s_recomputed : int;
-  s_pruned : int;
-  s_fallback_sccs : int;
-  s_cache_corrupt : int;
-}
-
 type t = {
   kloc : float;                  (* TinyC source size *)
   analysis_time_s : float;
@@ -37,7 +26,6 @@ type t = {
   degradation_events : string list;   (* the ladder's audit trail *)
   verify_checkers : (string * float * int) list;
       (* (checker, wall_s, violations) when --verify ran; [] otherwise *)
-  summary : summary_counters option;  (* compositional resolution, if on *)
 }
 
 let kloc_of_source (src : string) : float =
@@ -127,17 +115,4 @@ let compute ~(src : string) (a : Pipeline.analysis) : t =
         (fun (r : Verify.Report.t) ->
           (r.checker, r.wall_s, Verify.Report.nviolations r))
         a.verify_reports;
-    summary =
-      (match a.summary_stats with
-      | None -> None
-      | Some s ->
-        Some
-          {
-            s_computed = s.Summary.Engine.computed;
-            s_reused = s.reused;
-            s_recomputed = s.recomputed;
-            s_pruned = s.pruned;
-            s_fallback_sccs = s.fallback_sccs;
-            s_cache_corrupt = s.cache_corrupt;
-          });
   }

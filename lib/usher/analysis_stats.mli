@@ -1,16 +1,5 @@
 (** The per-benchmark statistics of the paper's Table 1. *)
 
-(** Compositional-resolution counters (present iff the analysis ran with
-    [knobs.summaries]); a frozen copy of {!Summary.Engine.stats}. *)
-type summary_counters = {
-  s_computed : int;
-  s_reused : int;
-  s_recomputed : int;
-  s_pruned : int;
-  s_fallback_sccs : int;
-  s_cache_corrupt : int;
-}
-
 type t = {
   kloc : float;                  (** TinyC source size *)
   analysis_time_s : float;
@@ -39,8 +28,6 @@ type t = {
       (** (checker, wall seconds, violations) per certificate checker, in
           pipeline order, when the analysis ran with [verify]; [[]]
           otherwise *)
-  summary : summary_counters option;
-      (** compositional resolution counters, when [knobs.summaries] *)
 }
 
 val kloc_of_source : string -> float

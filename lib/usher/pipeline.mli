@@ -21,9 +21,8 @@ type analysis = {
   vfg_tl : Vfg.Build.t;               (** top-level-only graph *)
   gamma_tl : Vfg.Resolve.gamma;
   opt2 : Vfg.Opt2.result;             (** Γ after redundant check elimination *)
-  summary_stats : Summary.Engine.stats option;
-      (** compositional-resolution counters ([Some] iff [knobs.summaries]),
-          shared by the TL+AT and TL resolutions *)
+  summary_stats : unit option;
+      (** always [None]; kept only because perfbench builds this record *)
   analysis_time_s : float;
   analysis_mem_mb : float;
   phase_times_s : (string * float) list;

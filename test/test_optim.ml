@@ -58,6 +58,42 @@ let mem2reg_tests =
                        return r; }\n\
                        int main() { return f(5); }" in
         Ir.Verify.check_ssa p);
+    tc "phi order ignores earlier functions' variables" (fun () ->
+        (* Var ids come from a program-wide counter, so a function that
+           allocates variables earlier shifts every id in g. Promotion
+           follows g's IR order, so g's join-block phis must come out in
+           the same order either way. Seven padding variables are enough
+           to reorder a Hashtbl walk over g's allocs. *)
+        let g =
+          "int g(int c) { int a; int b; int d; int e;\n\
+           if (c) { a = 1; b = 2; d = 3; e = 4; }\n\
+           else { a = 5; b = 6; d = 7; e = 8; }\n\
+           return a + b + d + e; }\n\
+           int main() { return g(1); }\n"
+        in
+        let pad =
+          "int pad() { "
+          ^ String.concat " "
+              (List.init 7 (fun i -> Printf.sprintf "int v%d = %d;" i i))
+          ^ " return 0; }\n"
+        in
+        let phi_order src =
+          let p = compile src in
+          ignore (Optim.Mem2reg.run p);
+          let names = ref [] in
+          Ir.Func.iter_instrs
+            (fun _ i ->
+              match i.Ir.Types.kind with
+              | Ir.Types.Phi (v, _) ->
+                names := (Ir.Prog.varinfo p v).vname :: !names
+              | _ -> ())
+            (Ir.Prog.get_func p "g");
+          List.rev !names
+        in
+        let alone = phi_order g in
+        check_int "four phis" 4 (List.length alone);
+        Alcotest.(check (list string)) "same phi order" alone
+          (phi_order (pad ^ g)));
   ]
 
 let inline_tests =

@@ -431,6 +431,43 @@ let server_cache_hit () =
       (reply_field l1 "output") (Some (Option.value ~default:"?" (reply_field l2 "output")))
   | ls -> Alcotest.failf "expected 2 replies, got %d" (List.length ls)
 
+(* Unknown request fields are ignored. "summaries" and "cache" belonged
+   to a removed resolver: a request that still carries them gets the
+   plain request's reply, and the daemon never creates the directory it
+   names. Replies come from fresh servers (no reply-cache hit) and are
+   compared with elapsed_ms masked. *)
+let server_ignores_unknown_fields () =
+  with_tmpdir @@ fun dir ->
+  let nope = Filename.concat dir "nope" in
+  let reply extra =
+    let t, out, collected = mk_server ~jobs:1 dir in
+    Serve.Server.handle_line t ~out
+      (req_json ~id:"u" ~cmd:"analyze" ~source:src_undef ~extra ());
+    Serve.Server.drain t;
+    match collected () with
+    | [ line ] -> (
+      match Serve.Json.parse line with
+      | Ok (Serve.Json.Obj fs) ->
+        Serve.Json.to_line
+          (Serve.Json.Obj
+             (List.map
+                (fun (k, v) ->
+                  if k = "elapsed_ms" then (k, Serve.Json.Num 0.) else (k, v))
+                fs))
+      | _ -> Alcotest.failf "bad reply: %s" line)
+    | ls -> Alcotest.failf "expected 1 reply, got %d" (List.length ls)
+  in
+  let plain = reply "" in
+  let legacy =
+    reply
+      (Printf.sprintf {|,"summaries":true,"cache":%s|}
+         (Serve.Json.to_line (Serve.Json.Str nope)))
+  in
+  Alcotest.(check bool) "no client-named directory created" false
+    (Sys.file_exists nope);
+  Alcotest.(check string) "reply byte-identical to the plain request" plain
+    legacy
+
 (* An unknown benchmark is a deterministic client error: no retries
    burned, no incident filed — and only [bench] maps to it (a stray
    [Not_found] elsewhere takes the crash/retry path instead). *)
@@ -738,6 +775,8 @@ let suites =
           server_cache_hit;
         Alcotest.test_case "unknown bench is a client error" `Quick
           server_unknown_bench;
+        Alcotest.test_case "unknown request fields are ignored" `Quick
+          server_ignores_unknown_fields;
         Alcotest.test_case "EOF completes an unterminated line" `Quick
           serve_fd_eof_partial_line;
         Alcotest.test_case "socket drain delivers in-flight replies" `Quick

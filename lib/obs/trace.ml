@@ -75,15 +75,15 @@ let begin_span ?cat ?args name =
     record ?cat ?args 'B' name
   end
 
-let end_span ?cat name = if !enabled_ then record ?cat 'E' name
+let end_span ?cat ?args name = if !enabled_ then record ?cat ?args 'E' name
 
-let with_span ?cat ?args name f =
+let with_span ?cat ?args ?end_args name f =
   if not !enabled_ then f ()
   else begin
     begin_span ?cat ?args name;
     match f () with
     | r ->
-      end_span ?cat name;
+      end_span ?cat ?args:(Option.map (fun g -> g r) end_args) name;
       r
     | exception e ->
       (* The span must close even on a fault (the pipeline degrades rather

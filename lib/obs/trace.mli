@@ -22,14 +22,21 @@ val start : unit -> unit
 val stop : unit -> unit
 
 val with_span :
-  ?cat:string -> ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a
+  ?cat:string ->
+  ?args:(string * arg) list ->
+  ?end_args:('a -> (string * arg) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
 (** [with_span name f] runs [f] inside a begin/end span pair (closed even
     if [f] raises; the exception is re-raised with its backtrace). Span
     begins periodically attach a GC counter sample ([Gc.quick_stat]).
-    When tracing is disabled this is exactly [f ()]. *)
+    [end_args] computes args from [f]'s result for the end event (viewers
+    merge them into the span's args). When tracing is disabled this is
+    exactly [f ()]. *)
 
 val begin_span : ?cat:string -> ?args:(string * arg) list -> string -> unit
-val end_span : ?cat:string -> string -> unit
+val end_span : ?cat:string -> ?args:(string * arg) list -> string -> unit
 
 val instant : ?cat:string -> ?args:(string * arg) list -> string -> unit
 (** A point-in-time event (degradations, quarantines, incidents). *)

@@ -10,7 +10,7 @@ type variant_result = {
   slowdown_pct : float;
   dynamic_shadow_ops : int;
   detections : Ir.Types.label list;     (* E(l) that fired *)
-  compressed_away : int;                (* items removed by shadow DCE *)
+  compressed_away : int;                (* items removed by folding + DCE *)
 }
 
 type t = {
@@ -79,8 +79,18 @@ let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
            over the inserted instrumentation (shadow constant folding +
            shadow dead-code elimination). *)
         let compressed_away =
-          if compress then
-            Instr.Compress.fold_constants plan + Instr.Compress.run plan
+          if compress then begin
+            let folded, dce =
+              Obs.Trace.with_span ~cat:"instr"
+                ~end_args:(fun (folded, dce) ->
+                  [ ("folded", Obs.Trace.Int folded); ("dce", Obs.Trace.Int dce) ])
+                "instr.compress"
+              @@ fun () ->
+              let folded = Instr.Compress.fold_constants plan in
+              (folded, Instr.Compress.run plan)
+            in
+            folded + dce
+          end
           else 0
         in
         let outcome = Vm.Engine.run_plan ?limits engine prog plan in

@@ -466,6 +466,34 @@ let regression_tests =
               e.analysis.phase_times_s;
             check_bool "trace serializes" true
               (json_valid (Obs.Trace.to_json_string ()))));
+    tc "shadow compression is one span per variant, O1/O2 only" (fun () ->
+        let compress_ends level =
+          traced (fun () ->
+              let e =
+                Usher.Experiment.run ~name:"reg" ~level ~check_soundness:false
+                  regression_src
+              in
+              let ends =
+                List.filter_map
+                  (fun (ev : Obs.Trace.event) ->
+                    if ev.ph = 'E' && ev.name = "instr.compress" then
+                      match ev.args with
+                      | [ ("folded", Obs.Trace.Int f); ("dce", Obs.Trace.Int d) ] ->
+                        Some (f + d)
+                      | _ -> Some (-1)
+                    else None)
+                  (Obs.Trace.events ())
+              in
+              ( List.sort compare ends,
+                List.sort compare
+                  (List.map
+                     (fun (r : Usher.Experiment.variant_result) -> r.compressed_away)
+                     e.results) ))
+        in
+        let ends, removed = compress_ends Optim.Pipeline.O1 in
+        check_ints "counts carried by the spans" removed ends;
+        check_int "none at O0+IM" 0
+          (List.length (fst (compress_ends Optim.Pipeline.O0_IM))));
     tc "phase times are non-negative" (fun () ->
         let e =
           Usher.Experiment.run ~name:"reg" ~check_soundness:false regression_src

@@ -232,6 +232,166 @@ let scalar_tests =
         check_bool "check kept" true ((Instr.Item.stats_of plan).checks >= 1));
   ]
 
+(* The round-based shadow DCE that [Instr.Compress.run] replaced, kept as
+   a test-only oracle: each round kills every defined register that no
+   surviving action reads, until a round kills nothing; then the dead
+   registers' [Set_var]s are dropped. The plan is flattened into arrays
+   first only so that the analogs' thousands of rounds stay cheap. *)
+let reference_dce (plan : Instr.Item.plan) : int =
+  let acts =
+    Array.of_list
+      (List.concat_map
+         (List.map (fun (it : Instr.Item.item) -> it.act))
+         (Array.to_list plan.items)
+      @ List.concat (List.of_seq (Hashtbl.to_seq_values plan.entry_items)))
+  in
+  let reads = Array.map (fun a -> Array.of_list (Instr.Compress.shadow_reads a)) acts in
+  let def = Array.map (function Instr.Item.Set_var (x, _) -> x | _ -> -1) acts in
+  let nvars = Array.fold_left (Array.fold_left max) (Array.fold_left max 0 def) reads + 1 in
+  let alive = Array.make (Array.length acts) true in
+  let dead = Array.make nvars false in
+  let read = Array.make nvars false in
+  let continue_ = ref true in
+  while !continue_ do
+    continue_ := false;
+    Array.fill read 0 nvars false;
+    Array.iteri (fun i rs -> if alive.(i) then Array.iter (fun v -> read.(v) <- true) rs) reads;
+    Array.iteri
+      (fun i x ->
+        if alive.(i) && x >= 0 && not read.(x) then begin
+          alive.(i) <- false;
+          dead.(x) <- true;
+          continue_ := true
+        end)
+      def
+  done;
+  let removed = ref 0 in
+  let sweep keep xs =
+    let kept = List.filter keep xs in
+    removed := !removed + List.length xs - List.length kept;
+    kept
+  in
+  let live = function Instr.Item.Set_var (x, _) -> not dead.(x) | _ -> true in
+  Array.iteri
+    (fun i items -> plan.items.(i) <- sweep (fun (it : Instr.Item.item) -> live it.act) items)
+    plan.items;
+  Hashtbl.filter_map_inplace (fun _ acts -> Some (sweep live acts)) plan.entry_items;
+  !removed
+
+let copy_plan (plan : Instr.Item.plan) : Instr.Item.plan =
+  Marshal.from_string (Marshal.to_string plan []) 0
+
+let entry_bindings (plan : Instr.Item.plan) =
+  Hashtbl.fold (fun fn acts acc -> (fn, acts) :: acc) plan.entry_items []
+  |> List.sort compare
+
+(* [Compress.run] removes what the oracle removes, from the plan as built
+   and, with [raw], before folding as well; a second run finds nothing.
+   Returns the number removed. *)
+let check_dce_matches_reference ~raw what (plan : Instr.Item.plan) =
+  List.fold_left
+    (fun total fold ->
+      let ours = copy_plan plan and theirs = copy_plan plan in
+      if fold then begin
+        ignore (Instr.Compress.fold_constants ours);
+        ignore (Instr.Compress.fold_constants theirs)
+      end;
+      let what = if fold then what ^ " folded" else what in
+      let removed = Instr.Compress.run ours in
+      check_int (what ^ ": count") (reference_dce theirs) removed;
+      check_bool (what ^ ": items") true (ours.items = theirs.items);
+      check_bool (what ^ ": entry items") true
+        (entry_bindings ours = entry_bindings theirs);
+      check_int (what ^ ": idempotent") 0 (Instr.Compress.run ours);
+      total + removed)
+    0
+    (if raw then [ false; true ] else [ true ])
+
+(* Every variant's plan at O1 and O2. *)
+let dce_against_reference ~raw what src =
+  List.fold_left
+    (fun total level ->
+      let _, a = analyze ~level src in
+      List.fold_left
+        (fun total v ->
+          let plan, _ = Usher.Pipeline.plan_for a v in
+          total
+          + check_dce_matches_reference ~raw
+              (Printf.sprintf "%s %s %s" what
+                 (Optim.Pipeline.level_to_string level)
+                 (Usher.Config.variant_name v))
+              plan)
+        total Usher.Config.all_variants)
+    0 [ Optim.Pipeline.O1; Optim.Pipeline.O2 ]
+
+let hand_plan ?(entry = []) (acts : Instr.Item.action list) : Instr.Item.plan =
+  let entry_items = Hashtbl.create 1 in
+  if entry <> [] then Hashtbl.replace entry_items "main" entry;
+  {
+    items = Array.of_list (List.map (fun act -> [ { Instr.Item.act; pos = After } ]) acts);
+    entry_items;
+    ret_slot = 0;
+  }
+
+let compress_tests =
+  let open Instr.Item in
+  [
+    tc "shadow dce matches the round-based reference on generated programs"
+      (fun () ->
+        let removed =
+          List.fold_left ( + ) 0
+            (List.init 25 (fun seed ->
+                 dce_against_reference ~raw:true
+                   (Printf.sprintf "gen seed %d" seed)
+                   (Audit.Gen.source ~seed ())))
+        in
+        check_bool "some shadow defs were dead" true (removed > 0));
+    (* Folded plans only, as the pipeline runs them: raw plans would double
+       the oracle's thousands of rounds on the larger analogs. *)
+    tc "shadow dce matches the round-based reference on the analogs" (fun () ->
+        List.iter
+          (fun (p : Workloads.Profile.t) ->
+            ignore
+              (dce_against_reference ~raw:false p.pname
+                 (Workloads.Spec2000.source ~scale:3 p)))
+          Workloads.Spec2000.all);
+    tc "shadow dce removes a 20000-long dead chain" (fun () ->
+        let n = 20_000 in
+        let plan = hand_plan (List.init n (fun i -> Set_var (i + 1, Rvar i))) in
+        check_int "whole chain" n (Instr.Compress.run plan);
+        check_int "nothing left" 0 (stats_of plan).total_items);
+    tc "shadow dce keeps dead cycles and self-reading phis" (fun () ->
+        let cycle = [ Set_var (1, Rvar 2); Set_var (2, Rvar 1) ] in
+        let phi = Set_var (3, Rphi [ (0, Ir.Types.Var 3); (1, Ir.Types.Cst 1) ]) in
+        let plan =
+          hand_plan (cycle @ [ Set_var (4, Rvar 1) ]) ~entry:[ phi; Set_var (5, Rvar 3) ]
+        in
+        let reference = copy_plan plan in
+        check_int "only the cycle's and the phi's readers go" 2
+          (Instr.Compress.run plan);
+        check_int "reference agrees" 2 (reference_dce reference);
+        check_bool "cycle kept" true
+          (List.map (fun (it : item) -> it.act) (List.concat (Array.to_list plan.items))
+          = cycle);
+        check_bool "phi kept" true (entry_items plan "main" = [ phi ]);
+        check_int "second run" 0 (Instr.Compress.run plan));
+    tc "shadow folding demotes along chains and keeps optimistic cycles" (fun () ->
+        let chain =
+          hand_plan
+            ((Set_var (0, Rconst false) :: List.init 100 (fun i -> Set_var (i + 1, Rvar i)))
+            @ [ Check (Ir.Types.Var 100) ])
+        in
+        check_int "an undefined root keeps the whole chain" 0
+          (Instr.Compress.fold_constants chain);
+        let cycle =
+          hand_plan
+            [ Set_var (1, Rphi [ (0, Ir.Types.Cst 1); (1, Ir.Types.Var 2) ]);
+              Set_var (2, Rvar 1); Check (Ir.Types.Var 2) ]
+        in
+        check_int "a constant-rooted cycle folds away" 3
+          (Instr.Compress.fold_constants cycle));
+  ]
+
 let suites =
   [ ("mem2reg", mem2reg_tests); ("inline", inline_tests);
-    ("scalar-opts", scalar_tests) ]
+    ("scalar-opts", scalar_tests); ("shadow-compress", compress_tests) ]
